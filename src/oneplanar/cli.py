@@ -146,6 +146,8 @@ def _parse_pattern_file(path: str) -> pt.TypedPattern:
 
 
 def _cmd_find(args, out: TextIO, err: TextIO) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise _UsageError("--limit must be >= 0")
     d = _load_diagram(args.file)
     if not _require_valid(d, out):
         return 1

@@ -10,6 +10,7 @@ again and recovers the original simple graph.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -219,14 +220,25 @@ def serialize(d: Diagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _symmetric(d: Diagram) -> bool:
-    for vid, rot in zip(d.vertex_ids, d.rotations):
+def _rotation_violations(d: Diagram) -> List[Tuple[str, Tuple[str, ...], str]]:
+    """Self-loops and rotation entries without a unique matching entry.
+
+    Each rotation is counted once, so the check is linear in the number of
+    darts even around high-degree vertices.
+    """
+    own_counts = [Counter(rot) for rot in d.rotations]
+    counts = dict(zip(d.vertex_ids, own_counts))
+    violations: List[Tuple[str, Tuple[str, ...], str]] = []
+    for vid, rot, own in zip(d.vertex_ids, d.rotations, own_counts):
         for u in rot:
-            if not d.has_vertex(u) or rot.count(u) != 1:
-                return False
-            if d.rotation(u).count(vid) != 1:
-                return False
-    return True
+            if u == vid:
+                violations.append(("SelfLoop", (vid,), f"{vid} appears in its own rotation"))
+            elif own[u] != 1 or counts[u][vid] != 1:
+                violations.append(
+                    ("RotationAsymmetry", (vid, u),
+                     f"{u} in rotation of {vid} without a unique matching entry")
+                )
+    return violations
 
 
 def _connected(d: Diagram) -> bool:
@@ -255,18 +267,8 @@ def validate(d: Diagram) -> ValidationReport:
         violations.append(("EmptyDiagram", (), "diagram has no vertices"))
         return ValidationReport(tuple(violations))
 
-    symmetric = True
-    for vid, rot in zip(d.vertex_ids, d.rotations):
-        for u in rot:
-            if u == vid:
-                symmetric = False
-                violations.append(("SelfLoop", (vid,), f"{vid} appears in its own rotation"))
-            elif rot.count(u) != 1 or d.rotation(u).count(vid) != 1:
-                symmetric = False
-                violations.append(
-                    ("RotationAsymmetry", (vid, u),
-                     f"{u} in rotation of {vid} without a unique matching entry")
-                )
+    violations.extend(_rotation_violations(d))
+    symmetric = not violations
 
     for c in d.crossing_vertices:
         if d.degree(c) != 4:

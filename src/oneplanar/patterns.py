@@ -89,14 +89,32 @@ def find_typed(
     """Backtracking search for all image-distinct typed matches.
 
     Pattern vertices are assigned most-constrained-first: already-anchored
-    neighbors first, then fewest degree-feasible host candidates.
+    neighbors first, then fewest degree-feasible host candidates.  The
+    candidates for a pattern vertex are its degree-feasible hosts that are
+    adjacent to the hosts of all its already-anchored neighbors.
+
+    Twins are pattern vertices with equal degree intervals and the same
+    neighbors apart from each other; permuting the hosts of twins gives a
+    map with the same image.  Twins therefore take hosts in increasing
+    string order along ``p.vertices``, which visits exactly the
+    lexicographically smallest map of each such permutation class.  That
+    map is the representative ``_record`` keeps anyway, so the returned
+    matches are the same as without twin ordering; ``_record`` still
+    merges maps related by any other automorphism.
+
+    ``limit`` (>= 0) keeps a prefix of the canonically sorted matches.
     """
-    candidates = {
-        pv: [v for v in g.vertices if p.bounds[pv].contains(g.degree(v))]
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    adj = g.adjacency
+    feasible = {
+        pv: frozenset(v for v in g.vertices if p.bounds[pv].contains(g.degree(v)))
         for pv in p.vertices
     }
-    if any(not c for c in candidates.values()):
+    if any(not c for c in feasible.values()):
         return []
+
+    neighbors = {pv: p.neighbors(pv) for pv in p.vertices}
 
     order: List[str] = []
     remaining = set(p.vertices)
@@ -104,28 +122,51 @@ def find_typed(
         nxt = min(
             remaining,
             key=lambda pv: (
-                -sum(1 for u in p.neighbors(pv) if u in order),
-                len(candidates[pv]),
+                -sum(1 for u in neighbors[pv] if u in order),
+                len(feasible[pv]),
                 pv,
             ),
         )
         order.append(nxt)
         remaining.remove(nxt)
 
+    # Per depth: the pattern vertex, its anchored neighbors, and its nearest
+    # already-placed twins before and after it along p.vertices.  Placed
+    # twins already hold hosts in order, so bounding by those two suffices.
+    position = {pv: i for i, pv in enumerate(p.vertices)}
+    plan = []
+    for depth, pv in enumerate(order):
+        placed = order[:depth]
+        twins = [
+            t for t in placed
+            if p.bounds[t] == p.bounds[pv]
+            and set(neighbors[t]) - {pv} == set(neighbors[pv]) - {t}
+        ]
+        earlier = [t for t in twins if position[t] < position[pv]]
+        later = [t for t in twins if position[t] > position[pv]]
+        plan.append((
+            pv,
+            [u for u in neighbors[pv] if u in placed],
+            max(earlier, key=position.__getitem__, default=None),
+            min(later, key=position.__getitem__, default=None),
+        ))
+
     found: Dict[Tuple, Match] = {}
     assignment: Match = {}
     used = set()
 
     def backtrack(depth: int) -> None:
-        if depth == len(order):
+        if depth == len(plan):
             _record(p, found, assignment)
             return
-        pv = order[depth]
-        anchored = [u for u in p.neighbors(pv) if u in assignment]
-        for host in candidates[pv]:
+        pv, anchored, earlier, later = plan[depth]
+        candidates = feasible[pv].intersection(*(adj[assignment[u]] for u in anchored))
+        above = assignment[earlier] if earlier is not None else None
+        below = assignment[later] if later is not None else None
+        for host in candidates:
             if host in used:
                 continue
-            if any(not g.has_edge(assignment[u], host) for u in anchored):
+            if (above is not None and host < above) or (below is not None and host > below):
                 continue
             assignment[pv] = host
             used.add(host)

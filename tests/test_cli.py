@@ -154,6 +154,13 @@ def test_find_limit(write_diagram, k6):
     assert out.splitlines()[-1] == "count=3"
 
 
+def test_find_negative_limit(write_diagram, k6):
+    code, out, err = invoke(
+        ["find", "--pattern", "paw_9max", "--limit", "-1", write_diagram(k6)]
+    )
+    assert (code, out, err) == (2, "", "error: --limit must be >= 0\n")
+
+
 def test_find_unknown_pattern(write_diagram, k6):
     code, _, err = invoke(["find", "--pattern", "nope", write_diagram(k6)])
     assert code == 2

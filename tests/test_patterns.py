@@ -143,6 +143,134 @@ def test_limit_is_prefix_of_full_result():
     assert find_typed(g, p, limit=0) == []
 
 
+def test_negative_limit_is_rejected():
+    g = complete_graph(8)
+    p = catalog_by_name()["edge_77"]
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        find_typed(g, p, limit=-1)
+    # rejected even when no host vertex is degree-feasible
+    with pytest.raises(ValueError):
+        find_typed(complete_graph(3), p, limit=-1)
+
+
+def random_twin_pattern(rng):
+    """A blow-up of a random quotient graph on 2-5 vertices.
+
+    Each class is a clique or an independent set and two classes are joined
+    completely or not at all, so the vertices of a class are twins unless a
+    vertex draws its own degree interval; then the class still has graph
+    automorphisms, but ones that do not keep bounds.  Names are numbered so
+    that their string order differs from their numeric order, and the
+    vertex order is shuffled.
+    """
+    sizes = []
+    while sum(sizes) < 2 or (sum(sizes) < 5 and rng.random() < 0.6):
+        sizes.append(rng.randint(1, min(3, 5 - sum(sizes))))
+    names = [f"p{i}" for i in rng.sample(range(5, 16), sum(sizes))]
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(names[start:start + size])
+        start += size
+
+    def interval():
+        lo = rng.randint(0, 4)
+        return DegreeInterval(lo, rng.choice([None, lo, lo + 1, lo + 3, 7]))
+
+    edges, bounds = set(), {}
+    for i, cls in enumerate(classes):
+        if rng.random() < 0.5:
+            edges |= {frozenset((a, b)) for a in cls for b in cls if a != b}
+        for other in classes[i + 1:]:
+            if rng.random() < 0.6:
+                edges |= {frozenset((a, b)) for a in cls for b in other}
+        shared = interval()
+        for v in cls:
+            bounds[v] = shared if rng.random() < 0.8 else interval()
+    rng.shuffle(names)
+    return TypedPattern(name="random", vertices=tuple(names),
+                        edges=frozenset(edges), bounds=bounds)
+
+
+def test_find_matches_oracle_on_random_twin_patterns():
+    rng = random.Random(20261018)
+    twin_pairs = bound_breaking_pairs = 0
+    for _ in range(1500):
+        p = random_twin_pattern(rng)
+        n = rng.randint(2, 8)
+        names = tuple(f"b{i}" for i in rng.sample(range(5, 16), n))  # b10 < b9
+        density = rng.uniform(0.2, 0.9)
+        g = SimpleGraph(
+            vertices=names,
+            edges=frozenset(
+                frozenset((u, v)) for i, u in enumerate(names) for v in names[i + 1:]
+                if rng.random() < density
+            ),
+        )
+        assert find_typed(g, p) == oracle_find_typed(g, p), p
+        nbrs = {pv: set(p.neighbors(pv)) for pv in p.vertices}
+        for a in p.vertices:
+            for b in p.vertices:
+                if a < b and nbrs[a] - {b} == nbrs[b] - {a}:
+                    if p.bounds[a] == p.bounds[b]:
+                        twin_pairs += 1
+                    else:
+                        bound_breaking_pairs += 1
+    assert twin_pairs > 500 and bound_breaking_pairs > 100
+
+
+def _nx_representatives(g, p):
+    """Smallest map per image, from networkx's monomorphism enumeration."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    host = nx.Graph()
+    host.add_nodes_from((v, {"degree": g.degree(v)}) for v in g.vertices)
+    host.add_edges_from(tuple(e) for e in g.edges)
+    pattern = nx.Graph()
+    pattern.add_nodes_from((pv, {"bounds": p.bounds[pv]}) for pv in p.vertices)
+    pattern.add_edges_from(tuple(e) for e in p.edges)
+    matcher = GraphMatcher(
+        host, pattern, node_match=lambda h, q: q["bounds"].contains(h["degree"])
+    )
+    best = {}
+    for inverse in matcher.subgraph_monomorphisms_iter():
+        m = {pv: hv for hv, pv in inverse.items()}
+        key = _image(p, m)
+        mapping = tuple(m[pv] for pv in p.vertices)
+        if key not in best or mapping < best[key]:
+            best[key] = mapping
+    return best
+
+
+def _image(p, m):
+    return (frozenset(m.values()), frozenset(frozenset(m[x] for x in e) for e in p.edges))
+
+
+def test_find_matches_networkx_above_oracle_cap(corpus):
+    pytest.importorskip("networkx")
+    rng = random.Random(20261019)
+    hosts = [smooth(corpus["k6_ab4"]), smooth(corpus["tetra_deep"])]
+    hosts += [random_graph(rng.randint(20, 30), rng.uniform(0.15, 0.25), rng) for _ in range(2)]
+    for g in hosts:
+        assert len(g.vertices) > ORACLE_MAX_VERTICES
+        for p in catalog():
+            ours = {_image(p, m): tuple(m[pv] for pv in p.vertices) for m in find_typed(g, p)}
+            assert ours == _nx_representatives(g, p), p.name
+
+
+def test_star_with_one_centre_is_recorded_once(monkeypatch):
+    # the 7! leaf orders of the star are twin permutations: one map is built
+    import oneplanar.patterns as patterns
+
+    calls = []
+    record = patterns._record
+    monkeypatch.setattr(patterns, "_record", lambda *a: calls.append(1) or record(*a))
+    vs = ("c",) + tuple(f"l{i}" for i in range(7))
+    g = SimpleGraph(vertices=vs, edges=frozenset(frozenset(("c", v)) for v in vs[1:]))
+    assert len(find_typed(g, catalog_by_name()["star_k17"])) == 1
+    assert len(calls) == 1
+
+
 def test_oracle_host_cap():
     with pytest.raises(HostTooLarge):
         oracle_find_typed(complete_graph(ORACLE_MAX_VERTICES + 1),
