@@ -9,10 +9,11 @@ as a :class:`Witness`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .diagram import Diagram, smooth, true_degrees
 from .embedding import (
@@ -22,7 +23,6 @@ from .embedding import (
     Dart,
     FaceSet,
     classify,
-    dart_head,
     incident_faces,
 )
 
@@ -126,17 +126,13 @@ def negative_elements(cs: ChargeState) -> List[Tuple[Element, Fraction]]:
     return [(e, c) for e, c in cs.charges.items() if c < 0]
 
 
-def _apply_transfers(cs: ChargeState, transfers: Sequence[Transfer]) -> ChargeState:
-    charges = dict(cs.charges)
+def replay(initial: ChargeState, transfers: Sequence[Transfer]) -> ChargeState:
+    """Apply a transfer log to a state; the rule sets apply each stage so."""
+    charges = dict(initial.charges)
     for t in transfers:
         charges[t.src] -= t.amount
         charges[t.dst] += t.amount
-    return ChargeState(scheme=cs.scheme, charges=charges)
-
-
-def replay(initial: ChargeState, transfers: Sequence[Transfer]) -> ChargeState:
-    """Re-apply a transfer log to the initial state."""
-    return _apply_transfers(initial, transfers)
+    return ChargeState(scheme=initial.scheme, charges=charges)
 
 
 def _sort_transfers(d: Diagram, transfers: List[Transfer]) -> List[Transfer]:
@@ -147,26 +143,36 @@ def _sort_transfers(d: Diagram, transfers: List[Transfer]) -> List[Transfer]:
 
 
 # --- amount formulas, unit-evaluable -------------------------------------
+# The B/C angle amounts depend on the degree alone, so each is computed
+# once per degree.
+
+_HALF = Fraction(1, 2)
+_THIRD = Fraction(1, 3)
+
 
 def rule_a_equal_split(k: int) -> Fraction:
     """Per-face share of a k-vertex with 2*floor(k/2) incident false 3-faces."""
     return Fraction(k - 6, 2 * (k // 2))
 
 
+@lru_cache(maxsize=None)
 def b2a_amount(k: int) -> Fraction:
-    return Fraction(k - 4, k) - Fraction(1, 3)
+    return Fraction(k - 4, k) - _THIRD
 
 
+@lru_cache(maxsize=None)
 def b2b_amount(k: int) -> Fraction:
     return Fraction(k - 4, 2 * k) - Fraction(1, 6)
 
 
+@lru_cache(maxsize=None)
 def b2cde_amount(k: int) -> Fraction:
     return Fraction(k - 4, 2 * k) - Fraction(1, 4)
 
 
+@lru_cache(maxsize=None)
 def c2c_amount(k: int) -> Fraction:
-    return Fraction(k - 4, k) - Fraction(1, 2)
+    return Fraction(k - 4, k) - _HALF
 
 
 def opposite_neighbor(d: Diagram, w: str, c: str) -> str:
@@ -212,7 +218,7 @@ def apply_rule_set_a(
                 Transfer("A1", ("f", f.face_id), ("v", f.boundary[p].tail), amount, f"f{f.face_id}:{p}")
             )
     stage = _sort_transfers(d, stage)
-    cs = _apply_transfers(cs, stage)
+    cs = replay(cs, stage)
     log.extend(stage)
 
     # R2: 7+-true-vertices -> false-3-face angles
@@ -220,19 +226,18 @@ def apply_rule_set_a(
     for vid in d.true_vertices:
         if d.degree(vid) < 7:
             continue
-        darts = [Dart(vid, i) for i in range(d.degree(vid))]
-        spots = [dart for dart in darts if face_class[fs.dart_to_face[dart]] == FALSE_TRIANGLE]
+        angles = [fs.dart_position[Dart(vid, i)] for i in range(d.degree(vid))]
+        spots = [(fid, p) for fid, p in angles if face_class[fid] == FALSE_TRIANGLE]
         if not spots:
             continue
         charge = cs.charges[("v", vid)]
         if charge == 0:
             continue
         amount = charge / len(spots)
-        for dart in spots:
-            fid, p = fs.dart_position[dart]
+        for fid, p in spots:
             stage.append(Transfer("A2", ("v", vid), ("f", fid), amount, f"f{fid}:{p}"))
     stage = _sort_transfers(d, stage)
-    cs = _apply_transfers(cs, stage)
+    cs = replay(cs, stage)
     log.extend(stage)
 
     # R3: false 3-faces -> their crossing corner
@@ -248,7 +253,7 @@ def apply_rule_set_a(
         (cv,) = [v for v in f.corners if d.is_crossing(v)]
         stage.append(Transfer("A3", ("f", f.face_id), ("v", cv), charge, f"f{f.face_id}"))
     stage = _sort_transfers(d, stage)
-    cs = _apply_transfers(cs, stage)
+    cs = replay(cs, stage)
     log.extend(stage)
 
     return cs, log
@@ -272,14 +277,15 @@ def _apply_rule_set_bc(
             k = d.degree(w)
             site = f"f{f.face_id}:{p}"
             if k >= 7 and cls != BIG:
-                amount = Fraction(1, 2) if cls == FALSE_TRIANGLE else Fraction(1, 3)
+                amount = _HALF if cls == FALSE_TRIANGLE else _THIRD
                 transfers.append(
                     Transfer(f"{variant}1", ("v", w), ("f", f.face_id), amount, site)
                 )
             if k < 8:
                 continue
+            # the head of a boundary dart is the tail of the next one
             c1 = f.boundary[p - 1].tail
-            c2 = dart_head(d, dart)
+            c2 = f.boundary[(p + 1) % f.degree].tail
             fired = set()
 
             def emit(clause: str, recipient: str, amount: Fraction) -> None:
@@ -319,7 +325,7 @@ def _apply_rule_set_bc(
                         emit("e", opposite_neighbor(d, w, corner), b2cde_amount(k))
 
     transfers = _sort_transfers(d, transfers)
-    return _apply_transfers(cs, transfers), transfers
+    return replay(cs, transfers), transfers
 
 
 def apply_rule_set_b(

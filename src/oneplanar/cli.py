@@ -51,6 +51,15 @@ def _require_valid(d: dg.Diagram, out: TextIO) -> bool:
     return True
 
 
+def _valid_graph(path: str, out: TextIO) -> Optional[dg.SimpleGraph]:
+    """G of a valid diagram, or None after printing its violations.
+
+    The diagram, and the faces its validation traced, are freed on return.
+    """
+    d = _load_diagram(path)
+    return dg.smooth(d) if _require_valid(d, out) else None
+
+
 def _cmd_validate(args, out: TextIO, err: TextIO) -> int:
     d = _load_diagram(args.file)
     report = dg.validate(d)
@@ -74,10 +83,9 @@ def _cmd_faces(args, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_smooth(args, out: TextIO, err: TextIO) -> int:
-    d = _load_diagram(args.file)
-    if not _require_valid(d, out):
+    g = _valid_graph(args.file, out)
+    if g is None:
         return 1
-    g = dg.smooth(d)
     for u, v in sorted(tuple(sorted(e)) for e in g.edges):
         print(f"edge {u} {v}", file=out)
     return 0
@@ -148,8 +156,8 @@ def _parse_pattern_file(path: str) -> pt.TypedPattern:
 def _cmd_find(args, out: TextIO, err: TextIO) -> int:
     if args.limit is not None and args.limit < 0:
         raise _UsageError("--limit must be >= 0")
-    d = _load_diagram(args.file)
-    if not _require_valid(d, out):
+    g = _valid_graph(args.file, out)
+    if g is None:
         return 1
     if args.pattern:
         patterns = pt.catalog_by_name()
@@ -160,7 +168,6 @@ def _cmd_find(args, out: TextIO, err: TextIO) -> int:
         pattern = patterns[args.pattern]
     else:
         pattern = _parse_pattern_file(args.pattern_file)
-    g = dg.smooth(d)
     matches = pt.find_typed(g, pattern, limit=args.limit)
     for m in matches:
         pairs = " ".join(f"{pv}={m[pv]}" for pv in pattern.vertices)

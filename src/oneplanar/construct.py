@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .diagram import CROSSING, TRUE, Diagram
-from .embedding import Dart, dart_head, trace_faces
+from .embedding import trace_faces
 
 
 class UnknownFixture(Exception):

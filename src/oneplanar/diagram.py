@@ -74,8 +74,12 @@ class Diagram:
     def kind(self, v: str) -> str:
         return self.vertices[self._index[v]][1]
 
+    @cached_property
+    def _crossing(self) -> Dict[str, bool]:
+        return {vid: kind == CROSSING for vid, kind in self.vertices}
+
     def is_crossing(self, v: str) -> bool:
-        return self.kind(v) == CROSSING
+        return self._crossing[v]
 
     def rotation(self, v: str) -> Tuple[str, ...]:
         return self._rotation_map[v]
@@ -220,6 +224,34 @@ def serialize(d: Diagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reference_violations(d: Diagram) -> List[Tuple[str, Tuple[str, ...], str]]:
+    """Declarations that the other checks rely on: one rotation per
+    vertex, unique ids, known kinds, and rotations naming declared
+    vertices only."""
+    violations: List[Tuple[str, Tuple[str, ...], str]] = []
+    if len(d.rotations) != len(d.vertices):
+        violations.append(
+            ("RotationCount", (),
+             f"{len(d.vertices)} vertices but {len(d.rotations)} rotations")
+        )
+    declared = set()
+    for vid, kind in d.vertices:
+        if vid in declared:
+            violations.append(("DuplicateVertex", (vid,), f"vertex {vid} is declared twice"))
+        declared.add(vid)
+        if kind not in (TRUE, CROSSING):
+            violations.append(
+                ("UnknownKind", (vid,), f"vertex {vid} has kind {kind!r}, expected true or crossing")
+            )
+    for vid, rot in zip(d.vertex_ids, d.rotations):
+        for u in rot:
+            if u not in declared:
+                violations.append(
+                    ("UndeclaredVertex", (vid, u), f"{u} in rotation of {vid} is not a declared vertex")
+                )
+    return violations
+
+
 def _rotation_violations(d: Diagram) -> List[Tuple[str, Tuple[str, ...], str]]:
     """Self-loops and rotation entries without a unique matching entry.
 
@@ -259,12 +291,20 @@ def validate(d: Diagram) -> ValidationReport:
     """Check every structural invariant of a 1-planar diagram.
 
     Returns a report; an empty violation list means ``d`` is a valid
-    optimal 1-diagram of a connected simple graph.
+    optimal 1-diagram of a connected simple graph.  A diagram whose
+    declarations are broken (a rotation naming an undeclared vertex, an
+    unknown kind, a repeated id, or a rotation count that differs from
+    the vertex count) gets only those violations: every later check
+    looks up each neighbour.
     """
     violations: List[Tuple[str, Tuple[str, ...], str]] = []
 
     if not d.vertices:
         violations.append(("EmptyDiagram", (), "diagram has no vertices"))
+        return ValidationReport(tuple(violations))
+
+    violations.extend(_reference_violations(d))
+    if violations:
         return ValidationReport(tuple(violations))
 
     violations.extend(_rotation_violations(d))
@@ -277,7 +317,7 @@ def validate(d: Diagram) -> ValidationReport:
             )
         else:
             for u in d.rotation(c):
-                if d.has_vertex(u) and d.is_crossing(u):
+                if d.is_crossing(u):
                     violations.append(
                         ("CrossingAdjacency", (c, u), f"crossing vertices {c} and {u} are adjacent")
                     )

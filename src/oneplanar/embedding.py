@@ -58,47 +58,49 @@ class FaceSet:
         }
 
 
-def dart_head(d: Diagram, dart: Dart) -> str:
-    return d.rotation(dart.tail)[dart.head_index]
-
-
 def trace_faces(d: Diagram) -> FaceSet:
-    """Decompose all darts into face boundaries.
+    """Decompose all darts into face boundaries, once per diagram.
 
-    Face ids are assigned by the smallest contained dart, darts ordered by
-    (declaration index of tail, head index); boundaries are rotated to
-    start at that dart.  Requires a symmetric rotation system.
+    The first call traces ``d`` and stores the frozen result on it; later
+    calls for the same instance return that same :class:`FaceSet`.  Face
+    ids follow the smallest dart of each face, darts ordered by
+    (declaration index of tail, head index), and each boundary starts at
+    that dart.  Requires a symmetric rotation system whose rotations name
+    only declared vertices (what :func:`~oneplanar.diagram.validate`
+    checks before it traces).
     """
-    pos: Dict[str, Dict[str, int]] = {
-        vid: {u: i for i, u in enumerate(rot)} for vid, rot in zip(d.vertex_ids, d.rotations)
-    }
+    fs = d.__dict__.get("_face_set")
+    if fs is None:
+        fs = d.__dict__["_face_set"] = _trace(d)
+    return fs
 
-    def successor(dart: Dart) -> Dart:
-        v = dart_head(d, dart)
-        j = pos[v][dart.tail]
-        return Dart(v, (j + 1) % len(d.rotation(v)))
 
-    def dart_key(dart: Dart) -> Tuple[int, int]:
-        return (d.index(dart.tail), dart.head_index)
-
-    all_darts = [Dart(vid, i) for vid in d.vertex_ids for i in range(d.degree(vid))]
-    seen = set()
-    orbits: List[Tuple[Dart, ...]] = []
-    for start in all_darts:
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        cur = successor(start)
-        while cur != start:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = successor(cur)
-        k = min(range(len(orbit)), key=lambda i: dart_key(orbit[i]))
-        orbits.append(tuple(orbit[k:] + orbit[:k]))
-
-    orbits.sort(key=lambda b: dart_key(b[0]))
-    return FaceSet(faces=tuple(Face(i, b) for i, b in enumerate(orbits)))
+def _trace(d: Diagram) -> FaceSet:
+    # Darts are scanned in (declaration index, head index) order, so the
+    # first unseen dart is the smallest of its orbit and orbits are found
+    # in face-id order.
+    index = {vid: i for i, vid in enumerate(d.vertex_ids)}
+    nbrs = [[index[u] for u in rot] for rot in d.rotations]
+    pos = [{u: j for j, u in enumerate(rot)} for rot in nbrs]
+    seen = [bytearray(len(rot)) for rot in nbrs]
+    ids = d.vertex_ids
+    faces: List[Face] = []
+    for v, rot in enumerate(nbrs):
+        for i in range(len(rot)):
+            if seen[v][i]:
+                continue
+            boundary = []
+            t, j = v, i
+            while not seen[t][j]:
+                seen[t][j] = 1
+                boundary.append(Dart(ids[t], j))
+                h = nbrs[t][j]
+                j = pos[h][t] + 1
+                if j == len(nbrs[h]):
+                    j = 0
+                t = h
+            faces.append(Face(len(faces), tuple(boundary)))
+    return FaceSet(faces=tuple(faces))
 
 
 def euler_check(d: Diagram, fs: FaceSet) -> bool:
@@ -130,16 +132,3 @@ def false_triangle_parity(d: Diagram, fs: FaceSet, v: str) -> int:
     if any(cls == BIG for cls in classes):
         raise PreconditionNotTriangulated(f"vertex {v} has an incident big face")
     return sum(1 for cls in classes if cls == FALSE_TRIANGLE)
-
-
-def angle_corners(d: Diagram, fs: FaceSet, dart: Dart) -> Tuple[str, str]:
-    """The two boundary corners adjacent to dart.tail at its face angle.
-
-    Each occurrence of a vertex w on a face boundary corresponds to one
-    outgoing dart; the adjacent corners are the head of that dart and the
-    tail of the preceding boundary dart.
-    """
-    fid, p = fs.dart_position[dart]
-    boundary = fs.faces[fid].boundary
-    prev = boundary[p - 1]
-    return (prev.tail, dart_head(d, dart))

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from itertools import permutations
-
 from .diagram import Diagram, SimpleGraph, ValidationReport, min_true_degree, smooth, validate
 from .charge import (
+    Element,
     PreconditionMinDegree,
     RULE_SETS,
     extract_witness,
@@ -180,35 +179,43 @@ def find_typed(
 
 
 def oracle_find_typed(g: SimpleGraph, p: TypedPattern) -> List[Match]:
-    """Exhaustive enumeration of injective maps; the independent oracle."""
+    """Exhaustive enumeration of injective maps; the independent oracle.
+
+    Pattern vertices take every host vertex in turn, in pattern order.  A
+    slot's degree bound and its edges to earlier slots are checked as soon
+    as it is filled, so no failing prefix is extended.
+    """
     if len(g.vertices) > ORACLE_MAX_VERTICES:
         raise HostTooLarge(
             f"oracle accepts at most {ORACLE_MAX_VERTICES} host vertices, got {len(g.vertices)}"
         )
     index = {pv: i for i, pv in enumerate(p.vertices)}
-    all_vertices = frozenset(g.vertices)
-    feasible = [
-        (i, ok)
-        for i, pv in enumerate(p.vertices)
-        for ok in [frozenset(v for v in g.vertices if p.bounds[pv].contains(g.degree(v)))]
-        if ok != all_vertices  # universal bounds never prune
+    allowed = [
+        frozenset(v for v in g.vertices if p.bounds[pv].contains(g.degree(v)))
+        for pv in p.vertices
     ]
-    edge_slots = [tuple(index[x] for x in e) for e in p.edges]
+    earlier: List[List[int]] = [[] for _ in p.vertices]
+    for e in p.edges:
+        i, j = sorted(index[x] for x in e)
+        earlier[j].append(i)
     adj = g.adjacency
     found: Dict[Tuple, Match] = {}
-    for perm in permutations(g.vertices, len(p.vertices)):
-        ok = True
-        for i, allowed in feasible:
-            if perm[i] not in allowed:
-                ok = False
-                break
-        if ok:
-            for i, j in edge_slots:
-                if perm[j] not in adj[perm[i]]:
-                    ok = False
-                    break
-        if ok:
-            _record(p, found, dict(zip(p.vertices, perm)))
+    image: List[str] = []
+
+    def extend(slot: int) -> None:
+        if slot == len(p.vertices):
+            _record(p, found, dict(zip(p.vertices, image)))
+            return
+        for v in g.vertices:
+            if v not in allowed[slot] or v in image:
+                continue
+            if any(image[i] not in adj[v] for i in earlier[slot]):
+                continue
+            image.append(v)
+            extend(slot + 1)
+            image.pop()
+
+    extend(0)
     return _canonicalize(p, found)
 
 
@@ -288,25 +295,29 @@ def _check_discharge(d: Diagram, rule_set: str) -> GuaranteeResult:
     state = initial_charges(d, fs, scheme)
     final, _ = apply_fn(d, fs, state)
 
+    # Witnesses are crossing vertices under A and 7-vertices under B/C; a
+    # negative element of any other kind is a problem in itself.
     problems: List[str] = []
-    for (kind, ref), c in final.charges.items():
-        if c >= 0:
-            continue
+    witnesses: List[Element] = []
+    negatives = negative_elements(final)
+    for element, c in negatives:
+        kind, ref = element
         if kind == "f":
             problems.append(f"face f{ref} negative ({c})")
         elif rule_set == "A":
-            if not d.is_crossing(ref):
+            if d.is_crossing(ref):
+                witnesses.append(element)
+            else:
                 problems.append(f"true vertex {ref} negative ({c})")
+        elif d.is_crossing(ref) or d.degree(ref) != 7:
+            problems.append(f"non-7-vertex {ref} negative ({c})")
         else:
-            if d.is_crossing(ref) or d.degree(ref) != 7:
-                problems.append(f"non-7-vertex {ref} negative ({c})")
-
-    negatives = negative_elements(final)
+            witnesses.append(element)
     if not negatives:
         problems.append("no negative element after discharging")
 
     verified = 0
-    for element, _ in negatives:
+    for element in witnesses:
         witness = extract_witness(d, fs, final, element, rule_set)
         if witness.all_verdicts_pass:
             verified += 1

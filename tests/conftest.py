@@ -1,6 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 from oneplanar.construct import FIXTURE_NAMES, GlueSpec, fixture, glue
+from oneplanar.diagram import parse
+
+# Seeded min-degree-7 pentakis dodecahedron with 24 crossings
+# (`python3 onepl_bench/gen.py --seed 1`); every guarantee check passes.
+PENTAKIS7 = Path(__file__).parent / "data" / "pentakis7.onepl"
 
 
 def build_corpus():
@@ -44,3 +51,13 @@ def k5(corpus):
 @pytest.fixture(scope="session")
 def k6(corpus):
     return corpus["k6"]
+
+
+@pytest.fixture(scope="session")
+def pentakis7_path():
+    return str(PENTAKIS7)
+
+
+@pytest.fixture(scope="session")
+def pentakis7():
+    return parse(PENTAKIS7.read_text(encoding="utf-8"))

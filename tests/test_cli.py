@@ -1,7 +1,10 @@
 import io
+import re
+from fractions import Fraction
 
 import pytest
 
+from oneplanar import charge
 from oneplanar.cli import run
 from oneplanar.construct import GlueSpec, fixture, glue
 from oneplanar.diagram import parse, serialize
@@ -240,3 +243,13 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "1-planar diagram toolkit" in proc.stdout
+
+
+def test_check_theorems_reports_discharge_failure(monkeypatch, pentakis7_path):
+    # an over-paying B clause drives 8+-vertices negative; that is a FAIL
+    # line, not a crash in witness extraction
+    monkeypatch.setattr(charge, "b2cde_amount", lambda k: Fraction(5))
+    code, out, err = invoke(["check-theorems", pentakis7_path])
+    assert (code, err) == (1, "")
+    assert re.search(r"^FAIL discharge_B non-7-vertex \S+ negative \(-\d+\)", out, re.M)
+    assert "PASS discharge_A" in out and "PASS discharge_C" in out

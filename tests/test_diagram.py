@@ -135,6 +135,49 @@ def test_validate_crossing_adjacency():
     assert any(code == "CrossingAdjacency" for code, _, _ in report.violations)
 
 
+def codes(report):
+    return [code for code, _, _ in report.violations]
+
+
+def test_validate_reports_undeclared_neighbor(k6):
+    rotations = (k6.rotations[0] + ("zz",),) + k6.rotations[1:]
+    report = validate(Diagram(vertices=k6.vertices, rotations=rotations))
+    assert report.violations == (
+        ("UndeclaredVertex", ("a", "zz"), "zz in rotation of a is not a declared vertex"),
+    )
+
+
+def test_validate_reports_unknown_kind(k6):
+    vertices = (("a", "weird"),) + k6.vertices[1:]
+    report = validate(Diagram(vertices=vertices, rotations=k6.rotations))
+    assert codes(report) == ["UnknownKind"]
+    assert report.violations[0][1] == ("a",)
+
+
+def test_validate_reports_repeated_id_and_missing_rotation(tetra):
+    repeated = Diagram(vertices=tetra.vertices + (("a", "true"),),
+                       rotations=tetra.rotations + (tetra.rotations[0],))
+    assert codes(validate(repeated)) == ["DuplicateVertex"]
+    short = Diagram(vertices=tetra.vertices, rotations=tetra.rotations[:-1])
+    assert codes(validate(short)) == ["RotationCount"]
+
+
+def test_validate_bad_references_skip_later_checks():
+    # undeclared neighbours on an otherwise asymmetric, disconnected input:
+    # only the reference violations are reported, and nothing raises
+    d = Diagram(
+        vertices=(("a", "true"), ("b", "odd"), ("c", "true")),
+        rotations=(("b", "zz"), ("yy",), ()),
+    )
+    assert codes(validate(d)) == ["UnknownKind", "UndeclaredVertex", "UndeclaredVertex"]
+
+
+def test_is_crossing_unknown_vertex(k6):
+    assert k6.is_crossing("x1") and not k6.is_crossing("a")
+    with pytest.raises(KeyError):
+        k6.is_crossing("zz")
+
+
 def test_smooth_tetrahedron_is_k4(tetra):
     g = smooth(tetra)
     assert len(g.vertices) == 4

@@ -1,6 +1,13 @@
+import io
+import random
+from collections import Counter
+
 import pytest
 
-from oneplanar.diagram import Diagram, smooth
+from oneplanar import embedding
+from oneplanar.cli import run
+from oneplanar.construct import GlueSpec, fixture, glue
+from oneplanar.diagram import Diagram, parse, smooth
 from oneplanar.embedding import (
     BIG,
     FALSE_TRIANGLE,
@@ -143,3 +150,95 @@ def test_false_triangle_parity_precondition(corpus):
     fs = trace_faces(c4)
     with pytest.raises(PreconditionNotTriangulated):
         false_triangle_parity(c4, fs, "a")
+
+
+def renamed(d, rng):
+    names = [f"n{i}" for i in range(len(d.vertices))]
+    rng.shuffle(names)
+    name = dict(zip(d.vertex_ids, names))
+    return Diagram(
+        vertices=tuple((name[v], kind) for v, kind in d.vertices),
+        rotations=tuple(tuple(name[u] for u in rot) for rot in d.rotations),
+    ), name
+
+
+def shuffled(d, rng):
+    order = list(range(len(d.vertices)))
+    rng.shuffle(order)
+    return Diagram(
+        vertices=tuple(d.vertices[i] for i in order),
+        rotations=tuple(d.rotations[i] for i in order),
+    )
+
+
+def shifted(d, rng):
+    def shift(rot):
+        k = rng.randrange(len(rot)) if rot else 0
+        return rot[k:] + rot[:k]
+
+    return Diagram(vertices=d.vertices, rotations=tuple(shift(rot) for rot in d.rotations))
+
+
+def cyclic_boundaries(fs, name=lambda v: v):
+    """Face boundaries as corner cycles, each read from its smallest name."""
+    out = []
+    for f in fs.faces:
+        corners = [name(v) for v in f.corners]
+        k = min(range(len(corners)), key=lambda i: (corners[i:] + corners[:i]))
+        out.append(tuple(corners[k:] + corners[:k]))
+    return Counter(out)
+
+
+def check_trace(d):
+    fs = trace_faces(d)
+    key = lambda dart: (d.index(dart.tail), dart.head_index)
+    assert [f.face_id for f in fs.faces] == list(range(len(fs.faces)))
+    # ids follow the smallest-dart order, and each boundary starts there
+    firsts = [key(f.boundary[0]) for f in fs.faces]
+    assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)
+    for f in fs.faces:
+        assert f.boundary[0] == min(f.boundary, key=key)
+        # consecutive darts follow the successor rule
+        for dart, nxt in zip(f.boundary, f.boundary[1:] + f.boundary[:1]):
+            head = d.rotation(dart.tail)[dart.head_index]
+            rot = d.rotation(head)
+            assert nxt == (head, (rot.index(dart.tail) + 1) % len(rot))
+    darts = Counter(dart for f in fs.faces for dart in f.boundary)
+    assert set(darts.values()) == {1}
+    assert set(darts) == {(v, i) for v in d.vertex_ids for i in range(d.degree(v))}
+    assert len(d.vertices) - d.num_edges + len(fs.faces) == 2
+    return fs
+
+
+def tracer_inputs(corpus, pentakis7):
+    yield from corpus.items()
+    yield "pentakis7", pentakis7
+    yield "k6_ab3", glue(GlueSpec(fixture("k6"), "a", "b", 0, 3))
+
+
+def test_tracer_order_and_partition(corpus, pentakis7):
+    rng = random.Random(7)
+    for name, d in tracer_inputs(corpus, pentakis7):
+        faces = cyclic_boundaries(check_trace(d))
+        for _ in range(3):
+            copy, rename = renamed(d, rng)
+            back = {new: old for old, new in rename.items()}
+            assert cyclic_boundaries(check_trace(copy), back.__getitem__) == faces, name
+            assert cyclic_boundaries(check_trace(shuffled(d, rng))) == faces, name
+            assert cyclic_boundaries(check_trace(shifted(d, rng))) == faces, name
+
+
+def test_faces_traced_once_per_diagram(monkeypatch, pentakis7_path):
+    traced = []
+    real = embedding._trace
+    monkeypatch.setattr(embedding, "_trace", lambda d: traced.append(d) or real(d))
+    for argv in (["discharge", "--rules", "B", pentakis7_path],
+                 ["faces", pentakis7_path],
+                 ["check-theorems", pentakis7_path]):
+        traced.clear()
+        assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        assert len(traced) == 1, argv
+    with open(pentakis7_path, encoding="utf-8") as fh:
+        d = parse(fh.read())
+    assert trace_faces(d) is trace_faces(d)
+    assert len(traced) == 2

@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from oneplanar.charge import PreconditionMinDegree
+from oneplanar.charge import (
+    RULE_SETS,
+    PreconditionMinDegree,
+    extract_witness,
+    initial_charges,
+    negative_elements,
+)
 from oneplanar.diagram import Diagram, SimpleGraph, smooth
+from oneplanar.embedding import trace_faces
 from oneplanar.patterns import (
     ORACLE_MAX_VERTICES,
     DegreeInterval,
@@ -311,6 +318,19 @@ def test_check_guarantees_rejects_invalid():
 def test_check_guarantees_rejects_low_degree(k6):
     with pytest.raises(PreconditionMinDegree, match="minimum true-degree is 5"):
         check_guarantees(k6)
+
+
+def test_check_guarantees_positive_path(pentakis7):
+    report = check_guarantees(pentakis7)
+    assert report.ok, [r for r in report.results if not r.passed]
+    fs = trace_faces(pentakis7)
+    for rule_set, (scheme, apply_fn) in RULE_SETS.items():
+        final, _ = apply_fn(pentakis7, fs, initial_charges(pentakis7, fs, scheme))
+        negatives = negative_elements(final)
+        assert negatives, rule_set
+        for element, _ in negatives:
+            witness = extract_witness(pentakis7, fs, final, element, rule_set)
+            assert witness.all_verdicts_pass, (rule_set, element, witness.verdicts)
 
 
 def test_guarantee_report_names(k6):
